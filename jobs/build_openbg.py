@@ -3,8 +3,11 @@
 Usage: python jobs/build_openbg.py [scale] [rel_scale]
 """
 import sys
+from pathlib import Path
 
-from _session import get_spark
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.session import get_spark  # noqa: E402
 
 
 def main() -> None:

@@ -8,8 +8,11 @@ Usage: python jobs/make_experiments_md.py [output_path]
 """
 import sys
 import time
+from pathlib import Path
 
-from _session import get_spark
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.session import get_spark  # noqa: E402
 
 PREAMBLE = """# EXPERIMENTS — paper vs measured
 

@@ -284,11 +284,13 @@ def build_benchmark(
     ``r500``: pass OpenBG500's refined relation list when building
     OpenBG-IMG so R_IMG ⊆ R500 (paper property).
     ``pool``: pre-built (cached) candidate pool — benchmarks over the
-    same modality share it instead of rescanning the KG.
+    same modality share it instead of rescanning the KG.  The caller
+    keeps ownership of a pool it passes; one built here is released here.
     """
     seed = kg.cfg.derived_seed(f"bench-{spec.name}")
     spark = kg.triples.sparkSession
-    if pool is None:
+    own_pool = pool is None
+    if own_pool:
         pool = business_triples(kg, spec.multimodal).coalesce(8).cache()
     relations = refine_relations(pool, spec.n_rel, within=r500)
     heads = filter_head_entities(pool, relations, spec, seed)
@@ -298,6 +300,8 @@ def build_benchmark(
         .withColumn("_k", _hash_frac3(seed + 13))
         .toPandas()
     )
+    if own_pool:
+        pool.unpersist()
     splits = split_benchmark(sampled_pdf, spec)
 
     if spec.multimodal:
@@ -328,4 +332,6 @@ def build_all_benchmarks(kg: OpenBG, boost: float = 1.0) -> Dict[str, Benchmark]
         kg, specs["OpenBG-IMG"], r500=bg500.relations, pool=pool_img
     )
     bg500l = build_benchmark(kg, specs["OpenBG500-L"], pool=pool)
+    pool.unpersist()
+    pool_img.unpersist()
     return {"OpenBG-IMG": img, "OpenBG500": bg500, "OpenBG500-L": bg500l}

@@ -73,6 +73,13 @@ def ranks_numpy(
 
 
 def metrics_from_ranks(ranks: np.ndarray) -> Dict[str, float]:
+    """Hits@1/3/10, MR and MRR of ``ranks``, in any order.
+
+    Ranks are averaged in sorted order: a float sum depends on the order
+    of its terms, and :func:`evaluate_spark` collects ranks in an order
+    that depends on how queries fell into partitions.
+    """
+    ranks = np.sort(ranks)
     return {
         "hits1": float(np.mean(ranks <= 1)),
         "hits3": float(np.mean(ranks <= 3)),
@@ -124,4 +131,6 @@ def evaluate_spark(
             yield pd.DataFrame({"rank": ranks})
 
     ranks = sdf.mapInPandas(run, RANK_SCHEMA).toPandas()["rank"].to_numpy()
+    for bc in (bc_model, bc_hr, bc_rt):
+        bc.destroy()
     return metrics_from_ranks(ranks)

@@ -1,12 +1,5 @@
 """Shared expensive fixtures: the assembled test-scale KG and benchmarks."""
-import os
-
-# Test-scale data is tiny; 64 shuffle partitions is pure task overhead.
-# Set before the session fixture creates the SparkSession (explicit env
-# still wins via setdefault).
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
-import pytest  # noqa: E402
+import pytest
 
 from repro.construction.assemble import build_world
 from repro.core.config import TEST_CONFIG

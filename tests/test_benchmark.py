@@ -4,6 +4,7 @@ import pyspark.sql.functions as F
 
 from repro.benchmark import benchmark_stats, default_specs
 from repro.benchmark.build import (
+    build_all_benchmarks,
     build_benchmark,
     business_triples,
     refine_relations,
@@ -117,6 +118,13 @@ def test_benchmark_deterministic(kg, benches):
     b2 = build_benchmark(kg, benches["OpenBG500"].spec)
     assert b2.train.count() == benches["OpenBG500"].train.count()
     assert b2.relations == benches["OpenBG500"].relations
+
+
+def test_benchmarks_release_their_pools(spark, kg):
+    before = spark.sparkContext._jsc.getPersistentRDDs().size()
+    for _ in range(3):
+        build_all_benchmarks(kg, boost=3.0)
+    assert spark.sparkContext._jsc.getPersistentRDDs().size() == before
 
 
 def test_entity_budget_respected(benches):

@@ -34,8 +34,7 @@ def test_spark_eval_matches_reference(spark, trained):
     model, data = trained
     ref = evaluate(model, data)
     dist = evaluate_spark(spark, model, data)
-    for k in ref:
-        assert np.isclose(ref[k], dist[k]), (k, ref, dist)
+    assert dist == ref
 
 
 def test_filtered_better_or_equal_raw(trained):
